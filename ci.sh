@@ -57,9 +57,16 @@ stage_style() {
 # Experiment smoke: run the whole registry at quick fidelity and pipe the
 # KPI reports through the golden comparator (tests/golden/*.json). The
 # sparse-dataflow explorer is additionally gated alone, by name, so a
-# registry wiring regression cannot silently drop it from `all`.
+# registry wiring regression cannot silently drop it from `all`. `--json`
+# must emit only JSON: any stdout line not starting with `{` fails.
 stage_golden() {
-    run bash -c "$F2 run all --quick --json | $F2 check"
+    local out=/tmp/f2-run-all.json
+    run bash -c "$F2 run all --quick --json > $out"
+    if grep -vn '^{' "$out" >&2; then
+        echo "golden: \`f2 run all --quick --json\` printed non-JSON lines (above)" >&2
+        exit 1
+    fi
+    run bash -c "$F2 check < $out"
     run bash -c "$F2 run hls/spdataflow --quick --json | $F2 check"
 }
 

@@ -283,10 +283,11 @@ pub fn experiments() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2_core::scenario::Scenario;
 
     #[test]
     fn htconv_quick_mode_preserves_headline_claims() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         let report = HtconvQuality.run(&mut ctx).expect("runs");
         assert!(report.kpi("model/mac_saving_pct_vs_baseline").expect("kpi") > 80.0);
         assert!(report.kpi("layer/psnr_loss_pct_at_015_fovea").expect("kpi") < 10.0);
@@ -294,7 +295,7 @@ mod tests {
 
     #[test]
     fn table1_computed_row_is_calibrated() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         let report = Table1Fpga.run(&mut ctx).expect("runs");
         assert_eq!(report.kpi("new_row/fmax_mhz"), Some(222.0));
     }

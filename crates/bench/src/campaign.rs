@@ -15,7 +15,7 @@
 //! {
 //!   "schema": "f2-campaign-manifest-v1",
 //!   "seed": 7,
-//!   "base": {"fidelity": "quick", "threads": 1},
+//!   "base": {"fidelity": "quick"},
 //!   "specs": [
 //!     {"experiment": "imc_energy",
 //!      "grid": {"seed": [1, 2, 3], "mvm_n": [32, 64]}},
@@ -41,12 +41,14 @@
 //!
 //! ## Outputs
 //!
-//! The checkpoint (`f2-campaign-checkpoint-v1`) is a JSONL journal: a
+//! The checkpoint (`f2-campaign-checkpoint-v2`) is a JSONL journal: a
 //! header line binding the manifest hash and scenario count, then one
-//! result line per finished scenario, appended as they complete. On
+//! result line per finished scenario (embedding its canonical
+//! `{seed, fidelity, params}` scenario), appended as they complete. On
 //! `--resume` finished scenarios are replayed from the journal (a
 //! partial trailing line from a crash is ignored); a header that does
-//! not match the manifest is an error, not silent recomputation.
+//! not match the manifest — including a `-v1` journal, whose scenarios
+//! still carried `threads` — is an error, not silent recomputation.
 //!
 //! The merged report (`f2-campaign-v1`) lists every result in scenario
 //! order plus per-KPI distributions (`count`/`mean`/`p10`/`p50`/`p90`),
@@ -80,7 +82,7 @@ pub const MANIFEST_SCHEMA: &str = "f2-campaign-manifest-v1";
 /// Schema tag of the merged campaign report.
 pub const SCHEMA: &str = "f2-campaign-v1";
 /// Schema tag of the checkpoint journal header.
-pub const CHECKPOINT_SCHEMA: &str = "f2-campaign-checkpoint-v1";
+pub const CHECKPOINT_SCHEMA: &str = "f2-campaign-checkpoint-v2";
 /// Schema tag of the distribution golden snapshot.
 pub const DIST_SCHEMA: &str = "f2-campaign-dist-v1";
 /// Schema tag of the `--progress` heartbeat events.
@@ -1021,6 +1023,13 @@ mod tests {
                                         "dims":{"n":{"min":0.5,"max":2,"int":true}}}}]}"#,
                 "integer bounds",
             ),
+            // The thread count is a `--threads` resource, not a scenario
+            // member (`run` maps expansion errors to exit 2).
+            (
+                r#"{"schema":"f2-campaign-manifest-v1","base":{"threads":1},
+                    "specs":[{"experiment":"poly","grid":{"x":[1]}}]}"#,
+                "unknown scenario member `threads`",
+            ),
         ] {
             let err = expand_manifest(text, &reg).expect_err(text);
             assert!(err.contains(needle), "{text}: got `{err}`, want `{needle}`");
@@ -1108,6 +1117,41 @@ mod tests {
         };
         assert_eq!(run(&reg, &mismatched), 2);
         for p in [&manifest, &out, &ckpt, &other] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_v1_journal() {
+        let reg = registry();
+        let manifest = tmp("f2-campaign-v1-manifest.json");
+        let out = tmp("f2-campaign-v1-out.json");
+        let ckpt = tmp("f2-campaign-v1-ckpt.jsonl");
+        std::fs::write(&manifest, MANIFEST).expect("writable tmp");
+        let opts = CampaignOptions {
+            manifest: manifest.clone(),
+            out: Some(out.clone()),
+            checkpoint: Some(ckpt.clone()),
+            resume: false,
+            threads: 1,
+            golden: None,
+            progress: None,
+        };
+        assert_eq!(run(&reg, &opts), 0);
+        // Rewrite the header as the previous journal version wrote it.
+        let journal = std::fs::read_to_string(&ckpt).expect("checkpoint written");
+        let v1 = journal.replacen(CHECKPOINT_SCHEMA, "f2-campaign-checkpoint-v1", 1);
+        assert_ne!(v1, journal);
+        std::fs::write(&ckpt, v1).expect("writable tmp");
+        let hash = format!("{:016x}", f2_core::rng::fnv1a(MANIFEST.as_bytes()));
+        let err = load_checkpoint(&ckpt, &hash, 12).expect_err("v1 header");
+        assert!(err.contains("belongs to a different campaign"), "{err}");
+        let resumed = CampaignOptions {
+            resume: true,
+            ..opts
+        };
+        assert_eq!(run(&reg, &resumed), 2);
+        for p in [&manifest, &out, &ckpt] {
             let _ = std::fs::remove_file(p);
         }
     }

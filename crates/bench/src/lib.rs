@@ -24,44 +24,11 @@
 //! next to the other `check-*` gates in [`runner`].
 
 pub use f2_core::experiment::render::{fmt, print_table, section};
-use f2_core::json::{Json, ToJson};
 
 pub mod campaign;
 pub mod loadgen;
 pub mod runner;
 pub mod suite;
-
-/// Deprecated environment alias for `f2 run --json`: setting it to a truthy
-/// value (anything but empty, `0` or `false`) switches on JSON line output.
-pub const JSON_ENV: &str = "F2_BENCH_JSON";
-
-/// Returns whether the deprecated [`JSON_ENV`] alias asks for JSON output.
-///
-/// Unset, empty, `"0"` and `"false"` (any case) mean *off* — historically
-/// any non-empty value (including `0`) enabled it, which surprised every
-/// scripted caller.
-pub fn json_env_enabled() -> bool {
-    std::env::var(JSON_ENV)
-        .map(|v| f2_core::experiment::golden::env_flag_enabled(&v))
-        .unwrap_or(false)
-}
-
-/// Emits `value` as a labelled single-line JSON document on stdout when the
-/// deprecated [`JSON_ENV`] alias is enabled; a no-op otherwise.
-///
-/// Superseded by [`f2_core::experiment::ExperimentCtx::record`], which
-/// collects structured records independent of any environment variable and
-/// lets the runner decide how to emit them.
-#[deprecated(note = "use ExperimentCtx::record and `f2 run --json` instead")]
-pub fn emit_json(label: &str, value: &impl ToJson) {
-    if json_env_enabled() {
-        let doc = Json::Obj(vec![
-            ("label".to_string(), label.to_json()),
-            ("data".to_string(), value.to_json()),
-        ]);
-        println!("{doc}");
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -88,15 +88,14 @@ impl Mix {
             Mix::Cached => (
                 "POST",
                 "/run",
-                "{\"experiment\":\"fig1_landscape\",\"seed\":0,\
-                 \"quick\":true,\"threads\":1}"
+                r#"{"experiment":"fig1_landscape","scenario":{"seed":0,"fidelity":"quick"}}"#
                     .to_string(),
             ),
             Mix::Sweep => {
                 const EXPERIMENTS: [&str; 2] = ["fig1_landscape", "fig7_riscv_sota"];
                 let combo = i % 10;
                 let body = format!(
-                    "{{\"experiment\":\"{}\",\"seed\":{},\"quick\":true,\"threads\":1}}",
+                    r#"{{"experiment":"{}","scenario":{{"seed":{},"fidelity":"quick"}}}}"#,
                     EXPERIMENTS[combo / 5],
                     combo % 5
                 );

@@ -10,18 +10,18 @@
 //! ```
 //!
 //! `run` builds a [`Scenario`] — the first-class run configuration of
-//! seed, fidelity, threads and per-experiment params — from its flags:
-//! `--quick` (reduced problem sizes, the fidelity the golden snapshots
-//! pin), `--threads N`, `--seed N`, `--param key=value` (a tunable
-//! dimension the selected experiments declare; repeatable) and
-//! `--scenario <file.json>` (replace the whole scenario with a JSON
-//! document; later flags still override its members). Output flags:
-//! `--json` (machine-readable lines instead of tables), `--trace
-//! <out.json>` (Chrome/Perfetto trace of the run) and `--metrics` (trace
-//! summary appended to the output). The deprecated `F2_BENCH_JSON`
-//! environment alias still switches `--json` on, and `F2_TRACE` switches
-//! `--trace` on (`F2_TRACE=1` writes `f2-trace.json`, any other truthy
-//! value is used as the output path).
+//! seed, fidelity and per-experiment params — from its flags: `--quick`
+//! (reduced problem sizes, the fidelity the golden snapshots pin),
+//! `--seed N`, `--param key=value` (a tunable dimension the selected
+//! experiments declare; repeatable) and `--scenario <file.json>` (replace
+//! the whole scenario with a JSON document; later flags still override
+//! its members). `--threads N` sizes the executor pool, which changes
+//! only the run time, never a report. Output flags: `--json`
+//! (machine-readable lines instead of tables), `--trace <out.json>`
+//! (Chrome/Perfetto trace of the run) and `--metrics` (trace summary
+//! appended to the output). `F2_TRACE` switches `--trace` on
+//! (`F2_TRACE=1` writes `f2-trace.json`, any other truthy value is used
+//! as the output path).
 //!
 //! `check` closes the CI loop as a plain UNIX pipe, and `check-trace`
 //! validates a trace file the same way CI does:
@@ -64,8 +64,10 @@ pub struct RunOptions {
     pub selector: String,
     /// Emit machine-readable JSON lines instead of human-readable tables.
     pub json: bool,
-    /// The complete run configuration: seed, fidelity, threads, params.
+    /// The complete run configuration: seed, fidelity, params.
     pub scenario: Scenario,
+    /// Worker threads of the executor pool.
+    pub threads: usize,
     /// Write a Chrome trace-event JSON of the run to this path.
     pub trace: Option<PathBuf>,
     /// Append the human-readable trace summary to the run output.
@@ -76,12 +78,9 @@ impl Default for RunOptions {
     fn default() -> Self {
         Self {
             selector: "all".to_string(),
-            json: crate::json_env_enabled(),
-            scenario: Scenario::new(
-                f2_core::rng::DEFAULT_SEED,
-                Fidelity::Full,
-                f2_core::exec::num_threads(),
-            ),
+            json: false,
+            scenario: Scenario::new(f2_core::rng::DEFAULT_SEED, Fidelity::Full),
+            threads: f2_core::exec::num_threads(),
             trace: trace_env_path(),
             metrics: false,
         }
@@ -294,7 +293,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--json" => opts.json = true,
                     "--threads" => {
                         let v = it.next().ok_or("--threads needs a value")?;
-                        opts.scenario.threads = v
+                        opts.threads = v
                             .parse::<usize>()
                             .ok()
                             .filter(|&n| n > 0)
@@ -689,8 +688,8 @@ pub fn list(registry: &Registry, json: bool) {
 /// Runs the selected experiments; returns the process exit code.
 ///
 /// In `--json` mode each experiment contributes its structured records
-/// (`{"label": ..., "data": ...}` lines, the old `F2_BENCH_JSON` format)
-/// followed by one report line (`{"experiment": ..., "kpis": [...]}`).
+/// (`{"label": ..., "data": ...}` lines) followed by one report line
+/// (`{"experiment": ..., "kpis": [...]}`).
 ///
 /// With `--trace`/`--metrics` a [`f2_core::trace`] session wraps the whole
 /// run: each experiment gets an `experiment:<name>` span (sections and
@@ -726,12 +725,13 @@ pub fn run(registry: &Registry, opts: &RunOptions) -> u8 {
     let mut failures = 0;
     for exp in selected {
         let _span = f2_core::trace::span(&format!("experiment:{}", exp.name()));
-        let mut ctx = if opts.json {
+        let ctx = if opts.json {
             ExperimentCtx::quiet_scenario(&opts.scenario)
         } else {
             println!("\n##### {} — {}", exp.name(), exp.summary());
             ExperimentCtx::from_scenario(&opts.scenario)
         };
+        let mut ctx = ctx.with_threads(opts.threads);
         match exp.run(&mut ctx) {
             Ok(report) => {
                 if opts.json {
@@ -1402,7 +1402,7 @@ mod tests {
         assert_eq!(opts.selector, "imc");
         assert!(opts.json && opts.metrics);
         assert_eq!(opts.scenario.fidelity, Fidelity::Quick);
-        assert_eq!(opts.scenario.threads, 3);
+        assert_eq!(opts.threads, 3);
         assert_eq!(opts.scenario.seed, 7);
         assert_eq!(opts.scenario.param("cells"), Some(&ParamValue::Num(800.0)));
         assert_eq!(
@@ -1417,7 +1417,7 @@ mod tests {
         let path = std::env::temp_dir().join("f2-runner-scenario-test.json");
         std::fs::write(
             &path,
-            r#"{"seed":11,"fidelity":"quick","threads":2,"params":{"cells":640}}"#,
+            r#"{"seed":11,"fidelity":"quick","params":{"cells":640}}"#,
         )
         .expect("writable tmp");
         let path_s = path.to_string_lossy().to_string();
@@ -1433,7 +1433,6 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(opts.scenario.seed, 12, "later --seed overrides the file");
-        assert_eq!(opts.scenario.threads, 2);
         assert_eq!(opts.scenario.fidelity, Fidelity::Quick);
         assert_eq!(opts.scenario.param("cells"), Some(&ParamValue::Num(640.0)));
         // Flag order matters the other way round too: the file replaces
@@ -1453,6 +1452,25 @@ mod tests {
         assert!(parse_args(&args(&["run", "imc", "--scenario", "/no/such/file.json"])).is_err());
         assert!(parse_args(&args(&["run", "imc", "--param", "noequals"])).is_err());
         assert!(parse_args(&args(&["run", "imc", "--param", "=3"])).is_err());
+        // Inputs that change no report are not scenario members: a
+        // scenario file naming `threads` or a fidelity scale is rejected
+        // (exit 2 through `main_with`).
+        for bad in [r#"{"threads":1}"#, r#"{"fidelity":{"scale":8}}"#] {
+            std::fs::write(&path, bad).expect("writable tmp");
+            let err = parse_args(&args(&["run", "imc", "--scenario", &path_s]))
+                .err()
+                .expect(bad);
+            assert!(
+                err.contains("unknown scenario member") || err.contains("fidelity must be"),
+                "{bad}: {err}"
+            );
+            let registry = Registry::new();
+            assert_eq!(
+                main_with(registry, &args(&["run", "imc", "--scenario", &path_s])),
+                2,
+                "{bad}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1554,7 +1572,8 @@ mod tests {
         let opts = RunOptions {
             selector: "all".to_string(),
             json: true,
-            scenario: Scenario::new(1, Fidelity::Quick, 2),
+            scenario: Scenario::new(1, Fidelity::Quick),
+            threads: 2,
             trace: Some(path.clone()),
             metrics: false,
         };
@@ -1614,7 +1633,8 @@ mod tests {
         let opts = |n| RunOptions {
             selector: "all".to_string(),
             json: true,
-            scenario: Scenario::new(1, Fidelity::Quick, 1).with_param("n", ParamValue::Num(n)),
+            scenario: Scenario::new(1, Fidelity::Quick).with_param("n", ParamValue::Num(n)),
+            threads: 1,
             trace: None,
             metrics: false,
         };
@@ -1633,8 +1653,9 @@ mod tests {
         let opts = RunOptions {
             selector: "all".to_string(),
             json: true,
-            scenario: Scenario::new(1, Fidelity::Quick, 1)
+            scenario: Scenario::new(1, Fidelity::Quick)
                 .with_param("no_such_knob", ParamValue::Num(3.0)),
+            threads: 1,
             trace: None,
             metrics: false,
         };

@@ -1,21 +1,27 @@
 //! The curated hot-kernel suite behind `f2 bench` / `f2 check-bench`.
 //!
-//! Eight kernels, one per hot path the experiments actually spend their
-//! time in: the IMC crossbar and MLP forward pass, the RV32IM ISS and the
-//! multicore cluster step loop, SPARTA's event-driven simulator and the
-//! ASAP-seeded list scheduler, the DNA storage channel, and the parallel
-//! Pareto sweep — plus two service-level benchmarks (`serve/*`) that drive
-//! a live in-process `f2 serve` daemon over loopback TCP. Labels are
-//! stable `group/function` strings — they are the keys `f2 check-bench`
-//! joins baseline and current runs on, so renaming one is a breaking
-//! change to every committed `BENCH_*.json`.
+//! One kernel per hot path the experiments actually spend their time in:
+//! the IMC crossbar and MLP forward pass, the RV32IM ISS, the multicore
+//! cluster step loop and the BF16 tensor-core GEMM, SPARTA's event-driven
+//! simulator, the ASAP-seeded list scheduler and the SpGEMM cost models,
+//! exact vs foveated (HTCONV) 2x upscaling, the DNA storage channel and
+//! the three edit-distance kernels, and the parallel Pareto sweep — plus
+//! two service-level benchmarks (`serve/*`) that drive a live in-process
+//! `f2 serve` daemon over loopback TCP. Labels are stable `group/function`
+//! strings — they are the keys `f2 check-bench` joins baseline and
+//! current runs on, so renaming one is a breaking change to every
+//! committed `BENCH_*.json`.
 //!
 //! All numbers are wall-clock and machine-dependent: they are **never**
 //! KPIs and never appear in golden snapshots. The JSON report exists solely
 //! so `f2 check-bench` can flag order-of-magnitude regressions on the same
 //! machine (CI compares with a generous `--max-regress` for that reason).
 
+use f2_approx::htconv::{htconv_upscale2x, FoveaSpec};
+use f2_approx::image::Image;
+use f2_approx::tconv::{bicubic_kernel, tconv_upscale2x};
 use f2_core::benchkit::Harness;
+use f2_core::bf16::Bf16;
 use f2_core::energy::EnergyLedger;
 use f2_core::exec::Pool;
 use f2_core::json::{Json, ToJson};
@@ -27,6 +33,7 @@ use f2_core::workload::graph::rmat;
 
 use f2_core::workload::sparse::{generate, SparseMatrix, SparsityPattern};
 use f2_dna::channel::ChannelModel;
+use f2_dna::levenshtein::{levenshtein_banded, levenshtein_dp, levenshtein_myers};
 use f2_dna::sequence::{DnaBase, DnaSequence};
 use f2_hls::ir::dot_product_kernel;
 use f2_hls::schedule::{list_schedule, OpLatency, ResourceBudget};
@@ -40,6 +47,7 @@ use f2_scf::cpu::Cpu;
 use f2_scf::isa::asm;
 use f2_scf::memory::FlatMemory;
 use f2_scf::multicore::{vector_add_program, MulticoreCluster, MulticoreConfig};
+use f2_scf::tensor_core::{TensorCore, TensorCoreConfig};
 
 /// Identifies the JSON layout of a bench report.
 pub const SCHEMA: &str = "f2-bench-v1";
@@ -66,6 +74,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Harness {
     bench_imc(&mut h, cfg.quick);
     bench_scf(&mut h, cfg.quick);
     bench_hls(&mut h, cfg.quick);
+    bench_approx(&mut h, cfg.quick);
     bench_dna(&mut h, cfg.quick);
     bench_core(&mut h, cfg.quick, cfg.threads);
     bench_serve(&mut h, cfg);
@@ -122,7 +131,8 @@ fn bench_imc(h: &mut Harness, quick: bool) {
     group.bench_function("eval_forward", |bch| bch.iter(|| mlp.accuracy(&test)));
 }
 
-/// SCF: the single-hart ISS run loop and the lockstep multicore step loop.
+/// SCF: the single-hart ISS run loop, the lockstep multicore step loop
+/// and the compute unit's BF16 tensor-core GEMM.
 fn bench_scf(h: &mut Harness, quick: bool) {
     let mut group = h.group("scf");
     let iterations = if quick { 500 } else { 2000 };
@@ -163,6 +173,31 @@ fn bench_scf(h: &mut Harness, quick: bool) {
             }
             cluster.run().expect("program halts")
         })
+    });
+
+    let dim = if quick { 32 } else { 64 };
+    let tc = TensorCore::new(TensorCoreConfig::prototype()).expect("valid config");
+    let a: Vec<Bf16> = (0..dim * dim)
+        .map(|i| Bf16::from_f32(i as f32 / (dim * dim) as f32))
+        .collect();
+    group.bench_function("bf16_gemm", |bch| {
+        bch.iter(|| tc.gemm(&a, &a, dim, dim, dim).expect("valid dims"))
+    });
+}
+
+/// Approx: exact transposed-convolution 2x upscaling vs the foveated
+/// HTCONV variant (30% fovea) on the same image.
+fn bench_approx(h: &mut Harness, quick: bool) {
+    let mut group = h.group("approx");
+    let side = if quick { 32 } else { 64 };
+    let lr = Image::synthetic(side, side, 3);
+    let kernel = bicubic_kernel();
+    let fovea = FoveaSpec::centered_fraction(side, side, 0.3);
+    group.bench_function("tconv_upscale2x", |bch| {
+        bch.iter(|| tconv_upscale2x(&lr, &kernel))
+    });
+    group.bench_function("htconv_upscale2x", |bch| {
+        bch.iter(|| htconv_upscale2x(&lr, &kernel, &fovea))
     });
 }
 
@@ -213,7 +248,9 @@ fn bench_hls(h: &mut Harness, quick: bool) {
     });
 }
 
-/// DNA: the substitution/indel/dropout channel over a strand pool.
+/// DNA: the substitution/indel/dropout channel over a strand pool, and
+/// the exact, banded (k = 16) and Myers bit-parallel edit distances on
+/// one 150 bp read pair.
 fn bench_dna(h: &mut Harness, quick: bool) {
     let mut group = h.group("dna");
     let strands_n = if quick { 20 } else { 100 };
@@ -225,6 +262,15 @@ fn bench_dna(h: &mut Harness, quick: bool) {
     group.bench_function("channel", |bch| {
         let mut rng = rng_for(52, "bench-dna-channel");
         bch.iter(|| model.sequence_pool(&strands, &mut rng))
+    });
+
+    let (a, b) = (&strands[0], &strands[1]);
+    group.bench_function("levenshtein_dp", |bch| bch.iter(|| levenshtein_dp(a, b)));
+    group.bench_function("levenshtein_banded_k16", |bch| {
+        bch.iter(|| levenshtein_banded(a, b, 16))
+    });
+    group.bench_function("levenshtein_myers", |bch| {
+        bch.iter(|| levenshtein_myers(a, b))
     });
 }
 
@@ -268,7 +314,7 @@ fn bench_serve(h: &mut Harness, cfg: &SuiteConfig) {
     const BURST: usize = 32;
     /// The identical cached request both benchmarks replay.
     const BODY: &[u8] =
-        b"{\"experiment\":\"fig1_landscape\",\"seed\":0,\"quick\":true,\"threads\":1}";
+        br#"{"experiment":"fig1_landscape","scenario":{"seed":0,"fidelity":"quick"}}"#;
     let wants = |label: &str| {
         cfg.filter
             .as_deref()
@@ -349,17 +395,23 @@ fn bench_serve(h: &mut Harness, cfg: &SuiteConfig) {
 mod tests {
     use super::*;
 
-    /// The twelve stable labels, in registration order.
-    pub const EXPECTED_LABELS: [&str; 12] = [
+    /// The stable labels, in registration order.
+    pub const EXPECTED_LABELS: [&str; 18] = [
         "imc/mvm_bit_serial",
         "imc/eval_forward",
         "scf/cpu_run",
         "scf/multicore_step",
+        "scf/bf16_gemm",
         "hls/sparta_spmv",
         "hls/schedule_asap",
         "hls/spgemm_inner",
         "hls/spgemm_adaptive",
+        "approx/tconv_upscale2x",
+        "approx/htconv_upscale2x",
         "dna/channel",
+        "dna/levenshtein_dp",
+        "dna/levenshtein_banded_k16",
+        "dna/levenshtein_myers",
         "core/pareto_sweep",
         "serve/p99_latency",
         "serve/throughput",

@@ -57,14 +57,20 @@ fn serve_answers_the_full_protocol_over_the_real_registry() {
 
     // Unknown names and malformed bodies earn clean 4xx responses.
     assert_eq!(
-        roundtrip(addr, "POST", "/run", br#"{"experiment":"nope"}"#).status,
+        roundtrip(
+            addr,
+            "POST",
+            "/run",
+            br#"{"experiment":"nope","scenario":{}}"#
+        )
+        .status,
         404
     );
     assert_eq!(roundtrip(addr, "POST", "/run", b"{broken").status, 400);
     assert_eq!(roundtrip(addr, "GET", "/nope", b"").status, 404);
 
     // A real experiment computes once, then replays bit-identically.
-    let body = br#"{"experiment":"fig1_landscape","seed":0,"quick":true,"threads":1}"#;
+    let body = br#"{"experiment":"fig1_landscape","scenario":{"seed":0,"fidelity":"quick"}}"#;
     let first = roundtrip(addr, "POST", "/run", body);
     assert_eq!(first.status, 200);
     assert_eq!(first.header("x-f2-cache"), Some("miss"));

@@ -1,32 +1,25 @@
-//! Wall-clock micro-benchmark harness, replacing `criterion`.
+//! Wall-clock micro-benchmark harness behind `f2 bench`.
 //!
 //! Deliberately small: per benchmark it warms up, auto-calibrates an
 //! iteration count so one sample lasts a few milliseconds, takes N timed
-//! samples, and reports min/median/mean per iteration. That is enough to
-//! compare kernels and catch order-of-magnitude regressions, which is all
-//! the bench bins ever used criterion for — with zero dependencies and
-//! sub-second default runtime per benchmark.
+//! samples, and reports min/p10/median/mean per iteration. That is enough
+//! to compare kernels and catch order-of-magnitude regressions, with zero
+//! dependencies and sub-second default runtime per benchmark.
 //!
 //! ```no_run
-//! let mut h = f2_core::benchkit::Harness::from_env();
+//! let mut h = f2_core::benchkit::Harness::new();
 //! let mut group = h.group("levenshtein");
 //! group.bench_function("dp", |b| b.iter(|| 2 + 2));
 //! ```
 
 use crate::json::{Json, ToJson};
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the default number of measured samples
 /// per benchmark (`f2 bench --samples` wins over it). Invalid values are
 /// reported once on stderr and ignored, like `F2_EXEC_MIN_CHUNK`.
 pub const SAMPLES_ENV: &str = "F2_BENCH_SAMPLES";
-
-/// Opaque value barrier preventing the optimiser from deleting benchmarked
-/// work (re-export of [`std::hint::black_box`] under the familiar name).
-pub fn black_box<T>(value: T) -> T {
-    std_black_box(value)
-}
 
 /// Target wall time of one measured sample.
 const SAMPLE_TARGET: Duration = Duration::from_millis(5);
@@ -89,21 +82,8 @@ impl ToJson for Record {
 }
 
 impl Harness {
-    /// Builds a harness from the process arguments: the first non-flag
-    /// argument (as passed by `cargo bench -- <filter>`) becomes a substring
-    /// filter on benchmark labels.
-    pub fn from_env() -> Self {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-') && a != "bench");
-        Self {
-            filter,
-            samples: samples_from_env(),
-            results: Vec::new(),
-        }
-    }
-
-    /// A harness without any CLI filter (library/test use).
+    /// A harness with no filter and [`samples_from_env`] samples per
+    /// benchmark.
     pub fn new() -> Self {
         Self {
             filter: None,
@@ -112,8 +92,8 @@ impl Harness {
         }
     }
 
-    /// Overrides the default sample count for groups opened after this
-    /// call (the `f2 bench --samples` knob); clamped to at least 3.
+    /// Overrides the sample count (the `f2 bench --samples` knob); clamped
+    /// to at least 3.
     pub fn set_samples(&mut self, samples: usize) {
         self.samples = samples.max(3);
     }
@@ -125,11 +105,9 @@ impl Harness {
 
     /// Opens a named benchmark group.
     pub fn group(&mut self, name: &str) -> Group<'_> {
-        let samples = self.samples;
         Group {
             harness: self,
             name: name.to_string(),
-            samples,
         }
     }
 
@@ -138,7 +116,7 @@ impl Harness {
         &self.results
     }
 
-    /// Prints the summary table. Call at the end of `main`.
+    /// Prints the summary table.
     pub fn finish(&self) {
         println!();
         println!(
@@ -165,22 +143,15 @@ impl Default for Harness {
     }
 }
 
-/// A named group of related benchmarks (mirrors criterion's `BenchmarkGroup`).
+/// A named group of related benchmarks; labels are `group/function`.
 pub struct Group<'a> {
     harness: &'a mut Harness,
     name: String,
-    samples: usize,
 }
 
 impl Group<'_> {
-    /// Overrides the number of measured samples for this group.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        self.samples = samples.max(3);
-        self
-    }
-
-    /// Measures one benchmark; skipped (with a note) when a CLI filter does
-    /// not match. When a [`crate::trace`] session is live the whole
+    /// Measures one benchmark; skipped when the harness filter does not
+    /// match. When a [`crate::trace`] session is live the whole
     /// measurement (warm-up, calibration and samples) runs under a
     /// `bench:<group/label>` span, so `f2 bench --trace` output is
     /// Perfetto-inspectable per kernel.
@@ -193,7 +164,7 @@ impl Group<'_> {
         }
         let _span = crate::trace::span(&format!("bench:{full}"));
         let mut bencher = Bencher {
-            samples: self.samples,
+            samples: self.harness.samples,
             record: None,
         };
         f(&mut bencher);
@@ -282,9 +253,8 @@ mod tests {
     #[test]
     fn measures_and_records() {
         let mut h = Harness::new();
-        let mut group = h.group("smoke");
-        group
-            .sample_size(3)
+        h.set_samples(3);
+        h.group("smoke")
             .bench_function("noop", |b| b.iter(|| 1u64 + 1));
         assert_eq!(h.results().len(), 1);
         let r = &h.results()[0];
@@ -310,13 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn harness_samples_knob_clamps_and_propagates() {
+    fn harness_samples_knob_clamps() {
         let mut h = Harness::new();
         h.set_samples(1);
         assert_eq!(h.samples, 3, "clamped to the statistical minimum");
         h.set_samples(7);
-        let group = h.group("g");
-        assert_eq!(group.samples, 7);
+        assert_eq!(h.samples, 7);
     }
 
     #[test]
@@ -334,8 +303,8 @@ mod tests {
     fn filter_skips_nonmatching() {
         let mut h = Harness::new();
         h.set_filter(Some("wanted".to_string()));
+        h.set_samples(3);
         let mut group = h.group("g");
-        group.sample_size(3);
         group.bench_function("other", |b| b.iter(|| 0u8));
         group.bench_function("wanted_one", |b| b.iter(|| 0u8));
         assert_eq!(h.results().len(), 1);

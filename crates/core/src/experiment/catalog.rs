@@ -142,11 +142,12 @@ pub fn experiments() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Fidelity, Scenario};
 
     #[test]
     fn both_catalog_experiments_report_kpis() {
         for exp in experiments() {
-            let mut ctx = ExperimentCtx::quiet(42, true, 1);
+            let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(42, Fidelity::Quick));
             let report = exp.run(&mut ctx).expect("catalog experiments run");
             assert_eq!(report.experiment, exp.name());
             assert!(report.kpi("catalog_size").unwrap() > 5.0);
@@ -156,7 +157,7 @@ mod tests {
 
     #[test]
     fn fig1_medians_preserve_narrative_ordering() {
-        let mut ctx = ExperimentCtx::quiet(42, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(42, Fidelity::Quick));
         let report = Fig1Landscape.run(&mut ctx).expect("runs");
         let cpu = report.kpi("median_tops_per_watt/CPU").expect("cpu median");
         let gpu = report.kpi("median_tops_per_watt/GPU").expect("gpu median");

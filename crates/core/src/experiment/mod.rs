@@ -27,7 +27,7 @@
 //!     }
 //! }
 //!
-//! let mut ctx = ExperimentCtx::quiet(42, true, 1);
+//! let mut ctx = ExperimentCtx::quiet_scenario(&Default::default());
 //! let report = Demo.run(&mut ctx).unwrap();
 //! assert_eq!(report.kpis[0].value, 4.0);
 //! ```
@@ -38,7 +38,7 @@ pub mod render;
 
 use crate::json::{Json, ToJson};
 use crate::rng::ChaCha8Rng;
-use crate::scenario::{Fidelity, ParamValue, Scenario};
+use crate::scenario::{ParamValue, Scenario};
 use crate::{CoreError, Result};
 use std::fmt::Display;
 
@@ -154,12 +154,12 @@ pub struct ExperimentCtx {
 
 impl ExperimentCtx {
     /// A context for the given scenario that prints tables and notes to
-    /// stdout as they are emitted. The executor pool is sized from
-    /// `scenario.threads`.
+    /// stdout as they are emitted, on a one-thread executor pool (widen it
+    /// with [`ExperimentCtx::with_threads`]).
     pub fn from_scenario(scenario: &Scenario) -> Self {
         Self {
             scenario: scenario.clone(),
-            pool: crate::exec::Pool::new(scenario.threads),
+            pool: crate::exec::Pool::new(1),
             output: Output::Stdout,
             kpis: Vec::new(),
             records: Vec::new(),
@@ -175,24 +175,17 @@ impl ExperimentCtx {
         ctx
     }
 
-    /// Compatibility constructor for the legacy `(seed, quick, threads)`
-    /// tuple: a stdout context over a param-free [`Scenario`].
+    /// Resizes the executor pool to `threads` workers. Reports are
+    /// bit-identical at any worker count, so this changes only how fast
+    /// the run completes, never what it reports.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn new(seed: u64, quick: bool, threads: usize) -> Self {
-        Self::from_scenario(&Scenario::from_legacy(seed, quick, threads))
-    }
-
-    /// Compatibility constructor: like [`ExperimentCtx::new`] but buffering
-    /// output (retrieve it with [`ExperimentCtx::rendered`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn quiet(seed: u64, quick: bool, threads: usize) -> Self {
-        Self::quiet_scenario(&Scenario::from_legacy(seed, quick, threads))
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.pool = crate::exec::Pool::with_min_chunk(threads, self.pool.min_chunk());
+        self
     }
 
     /// The scenario this context runs.
@@ -203,11 +196,6 @@ impl ExperimentCtx {
     /// The global experiment seed.
     pub fn seed(&self) -> u64 {
         self.scenario.seed
-    }
-
-    /// The run's fidelity axis.
-    pub fn fidelity(&self) -> Fidelity {
-        self.scenario.fidelity
     }
 
     /// True when the run should trade fidelity for speed (CI smoke runs,
@@ -373,8 +361,7 @@ impl ExperimentCtx {
     }
 
     /// Attaches a labelled structured record (any [`ToJson`] report type) to
-    /// the run; the runner emits these as JSON lines in `--json` mode. This
-    /// replaces the old per-binary `emit_json` calls.
+    /// the run; the runner emits these as JSON lines in `--json` mode.
     pub fn record(&mut self, label: &str, value: &impl ToJson) {
         self.records.push((label.to_string(), value.to_json()));
     }
@@ -596,6 +583,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Fidelity;
 
     struct Dummy {
         name: &'static str,
@@ -634,7 +622,7 @@ mod tests {
 
     #[test]
     fn ctx_collects_kpis_and_output() {
-        let mut ctx = ExperimentCtx::quiet(7, false, 2);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::new(7, Fidelity::Full));
         ctx.section("demo");
         ctx.table(&["k", "v"], &[vec!["a".to_string(), "1".to_string()]]);
         ctx.note("done");
@@ -650,7 +638,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate KPI")]
     fn duplicate_kpi_rejected() {
-        let mut ctx = ExperimentCtx::quiet(7, false, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         ctx.kpi("x", 1.0);
         ctx.kpi("x", 2.0);
     }
@@ -658,14 +646,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be finite")]
     fn non_finite_kpi_rejected() {
-        let mut ctx = ExperimentCtx::quiet(7, false, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         ctx.kpi("x", f64::NAN);
     }
 
     #[test]
     fn ctx_rng_is_deterministic() {
         use crate::rng::Rng;
-        let ctx = ExperimentCtx::quiet(11, false, 1);
+        let ctx = ExperimentCtx::quiet_scenario(&Scenario::new(11, Fidelity::Full));
         let a: u64 = ctx.rng_for("stream").gen();
         let b: u64 = ctx.rng_for("stream").gen();
         let c: u64 = ctx.rng_for("other").gen();
@@ -675,7 +663,9 @@ mod tests {
 
     #[test]
     fn ctx_exec_pool_matches_sequential() {
-        let ctx = ExperimentCtx::quiet(1, false, 3);
+        let ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
+        assert_eq!(ctx.threads(), 1, "scenario contexts start on one thread");
+        let ctx = ctx.with_threads(3);
         assert_eq!(ctx.exec().threads(), 3);
         assert_eq!(ctx.threads(), 3);
         let items: Vec<u64> = (0..17).collect();
@@ -687,14 +677,13 @@ mod tests {
 
     #[test]
     fn ctx_reads_scenario_params_with_defaults() {
-        let scenario = Scenario::from_legacy(3, true, 2)
+        let scenario = Scenario::new(3, Fidelity::Quick)
             .with_param("cells", ParamValue::Num(800.0))
             .with_param("scale", ParamValue::Num(0.5))
             .with_param("pattern", ParamValue::Str("diag".into()));
         let ctx = ExperimentCtx::quiet_scenario(&scenario);
         assert_eq!(ctx.seed(), 3);
         assert!(ctx.quick());
-        assert_eq!(ctx.threads(), 2);
         assert_eq!(ctx.scenario(), &scenario);
         assert_eq!(ctx.param_u64("cells", 500), 800);
         assert_eq!(ctx.param_u64("absent", 500), 500);
@@ -702,15 +691,6 @@ mod tests {
         assert_eq!(ctx.param_f64("absent", 1.0), 1.0);
         assert_eq!(ctx.param_str("pattern", "dense"), "diag");
         assert_eq!(ctx.param_str("absent", "dense"), "dense");
-    }
-
-    #[test]
-    fn legacy_constructors_are_param_free_scenarios() {
-        let ctx = ExperimentCtx::quiet(9, false, 4);
-        assert!(!ctx.quick());
-        assert_eq!(ctx.fidelity(), Fidelity::Full);
-        assert_eq!(ctx.scenario(), &Scenario::from_legacy(9, false, 4));
-        assert!(ctx.scenario().params().is_empty());
     }
 
     #[test]
@@ -772,7 +752,7 @@ mod tests {
     #[test]
     fn ctx_sections_and_spans_are_traced() {
         let session = crate::trace::session();
-        let mut ctx = ExperimentCtx::quiet(1, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         ctx.section("alpha");
         {
             let _inner = ctx.span("inner");
@@ -797,7 +777,7 @@ mod tests {
 
     #[test]
     fn report_json_round_trip() {
-        let mut ctx = ExperimentCtx::quiet(1, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         ctx.kpi("alpha", 0.25);
         ctx.kpi_tol("beta", -3.0, 0.05);
         let report = ctx.report("rt");

@@ -1,10 +1,8 @@
 //! First-class run configuration: the [`Scenario`].
 //!
-//! Historically a run was a bare `(seed, quick, threads)` tuple copied
-//! through four layers (the experiment context, the `f2` runner CLI, the
-//! serve cache key and the bench suite). A [`Scenario`] promotes that
-//! tuple to a value type with three properties the campaign substrate
-//! needs:
+//! A [`Scenario`] is exactly the inputs that change a run's report — the
+//! seed, the fidelity and the experiment params — as a value type with
+//! three properties the campaign substrate needs:
 //!
 //! * **deterministic JSON round-trip** — [`Scenario::to_json`] emits a
 //!   canonical form (fixed member order, key-sorted params) such that
@@ -19,28 +17,26 @@
 //!   sizes behind the `quick` bool, so sweeps over e.g. the IMC array
 //!   size or the SCF core count are expressible as data.
 //!
+//! The worker-thread count is deliberately *not* part of a scenario:
+//! reports are bit-identical at any thread count, so it is an execution
+//! resource of the [`crate::experiment::ExperimentCtx`] instead.
+//!
 //! Invariants enforced by every constructor and by [`Scenario::from_json`]:
-//! numeric params and custom fidelity scales are finite (NaN/inf would
-//! encode as JSON `null` and break the round-trip), `-0.0` is normalised
-//! to `0.0` (they compare equal but have different bit patterns, which
-//! would break `Eq`/`Hash` consistency), params are unique and key-sorted,
-//! and `threads >= 1`.
+//! numeric params are finite (NaN/inf would encode as JSON `null` and
+//! break the round-trip), `-0.0` is normalised to `0.0` (they compare
+//! equal but have different bit patterns, which would break `Eq`/`Hash`
+//! consistency), and params are unique and key-sorted.
 
 use crate::json::{Json, ToJson};
 
 /// The fidelity axis of a run: the problem-size knob experiments consult.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Reduced problem sizes, every claim shape preserved — the fidelity
     /// CI and the golden snapshots pin.
     Quick,
     /// Full problem sizes (the numbers recorded in `EXPERIMENTS.md`).
     Full,
-    /// A custom scale factor relative to full fidelity. Experiments that
-    /// honour it treat `scale < 1` as a shrink and `scale > 1` as a
-    /// stretch; the common param accessors do not apply it implicitly.
-    /// Always finite and strictly positive.
-    Scale(f64),
 }
 
 impl Fidelity {
@@ -49,39 +45,18 @@ impl Fidelity {
         matches!(self, Fidelity::Quick)
     }
 
-    fn to_json_value(self) -> Json {
+    fn name(self) -> &'static str {
         match self {
-            Fidelity::Quick => "quick".to_json(),
-            Fidelity::Full => "full".to_json(),
-            Fidelity::Scale(s) => Json::Obj(vec![("scale".to_string(), Json::Num(s))]),
+            Fidelity::Quick => "quick",
+            Fidelity::Full => "full",
         }
     }
 
     fn from_json_value(value: &Json) -> Result<Self, String> {
-        match value {
-            Json::Str(s) if s == "quick" => Ok(Fidelity::Quick),
-            Json::Str(s) if s == "full" => Ok(Fidelity::Full),
-            Json::Obj(members) => {
-                if members.len() != 1 || members[0].0 != "scale" {
-                    return Err("fidelity object must have exactly one member `scale`".into());
-                }
-                match members[0].1.as_f64() {
-                    Some(s) if s.is_finite() && s > 0.0 => Ok(Fidelity::Scale(s)),
-                    _ => Err("fidelity `scale` must be a finite number > 0".into()),
-                }
-            }
-            _ => Err("fidelity must be \"quick\", \"full\" or {\"scale\": x}".into()),
-        }
-    }
-
-    fn eat(self, eat: &mut impl FnMut(&[u8])) {
-        match self {
-            Fidelity::Quick => eat(&[0]),
-            Fidelity::Full => eat(&[1]),
-            Fidelity::Scale(s) => {
-                eat(&[2]);
-                eat(&s.to_bits().to_le_bytes());
-            }
+        match value.as_str() {
+            Some("quick") => Ok(Fidelity::Quick),
+            Some("full") => Ok(Fidelity::Full),
+            _ => Err("fidelity must be \"quick\" or \"full\"".into()),
         }
     }
 }
@@ -154,24 +129,21 @@ fn normalize(v: f64) -> f64 {
 }
 
 /// A complete, self-describing run configuration: everything that
-/// influences an experiment's report.
+/// influences an experiment's report, and nothing else.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Root seed of all experiment randomness.
     pub seed: u64,
     /// Problem-size fidelity.
     pub fidelity: Fidelity,
-    /// Worker-thread budget of the run's executor pool (results are
-    /// thread-count invariant, but distinct configurations stay distinct).
-    pub threads: usize,
     /// Overridable experiment knobs, key-sorted and unique (the canonical
     /// order the encoding and hash depend on). Kept private so the
     /// invariant cannot be broken; mutate via [`Scenario::set_param`].
     params: Vec<(String, ParamValue)>,
 }
 
-// Safe: `ParamValue` and `Fidelity` exclude NaN, the one PartialEq edge
-// case, so equality is a genuine equivalence relation.
+// Safe: `ParamValue` excludes NaN, the one PartialEq edge case, so
+// equality is a genuine equivalence relation.
 impl Eq for Scenario {}
 
 impl std::hash::Hash for Scenario {
@@ -183,47 +155,21 @@ impl std::hash::Hash for Scenario {
 }
 
 impl Default for Scenario {
-    /// The default scenario: default seed, quick fidelity, one thread, no
-    /// params — exactly the configuration the golden snapshots pin.
+    /// The default scenario: default seed, quick fidelity, no params —
+    /// exactly the configuration the golden snapshots pin.
     fn default() -> Self {
-        Self::new(crate::rng::DEFAULT_SEED, Fidelity::Quick, 1)
+        Self::new(crate::rng::DEFAULT_SEED, Fidelity::Quick)
     }
 }
 
 impl Scenario {
     /// A scenario with no param overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or a custom fidelity scale is not
-    /// finite and positive.
-    pub fn new(seed: u64, fidelity: Fidelity, threads: usize) -> Self {
-        assert!(threads > 0, "scenario needs at least one thread");
-        if let Fidelity::Scale(s) = fidelity {
-            assert!(
-                s.is_finite() && s > 0.0,
-                "fidelity scale must be finite and > 0, got {s}"
-            );
-        }
+    pub fn new(seed: u64, fidelity: Fidelity) -> Self {
         Self {
             seed,
             fidelity,
-            threads,
             params: Vec::new(),
         }
-    }
-
-    /// The legacy `(seed, quick, threads)` tuple as a scenario.
-    pub fn from_legacy(seed: u64, quick: bool, threads: usize) -> Self {
-        Self::new(
-            seed,
-            if quick {
-                Fidelity::Quick
-            } else {
-                Fidelity::Full
-            },
-            threads,
-        )
     }
 
     /// Sets (or replaces) one param, keeping the map key-sorted.
@@ -268,15 +214,14 @@ impl Scenario {
 
     /// Deterministic FNV-1a content hash over a canonical byte encoding of
     /// every field. Equal scenarios hash equal across processes and
-    /// builds; any field change (seed, fidelity, threads, any param)
-    /// changes the hash.
+    /// builds; any field change (seed, fidelity, any param) changes the
+    /// hash.
     pub fn content_hash(&self) -> u64 {
         let mut bytes = Vec::with_capacity(64);
         {
             let mut eat = |b: &[u8]| bytes.extend_from_slice(b);
             eat(&self.seed.to_le_bytes());
-            self.fidelity.eat(&mut eat);
-            eat(&(self.threads as u64).to_le_bytes());
+            eat(&[self.fidelity as u8]);
             for (key, value) in &self.params {
                 eat(key.as_bytes());
                 eat(&[0]);
@@ -314,19 +259,6 @@ impl Scenario {
             match name.as_str() {
                 "seed" => scenario.seed = parse_seed(value)?,
                 "fidelity" => scenario.fidelity = Fidelity::from_json_value(value)?,
-                "threads" => {
-                    scenario.threads = match value.as_f64() {
-                        Some(t)
-                            if t.is_finite()
-                                && t >= 1.0
-                                && t.fract() == 0.0
-                                && t <= 2f64.powi(53) =>
-                        {
-                            t as usize
-                        }
-                        _ => return Err("`threads` must be an integer >= 1".into()),
-                    }
-                }
                 "params" => {
                     let Json::Obj(params) = value else {
                         return Err("`params` must be a JSON object".into());
@@ -349,7 +281,7 @@ impl Scenario {
 
 impl ToJson for Scenario {
     /// The canonical JSON form: fixed member order (`seed`, `fidelity`,
-    /// `threads`, `params`), params key-sorted. Seeds above 2^53 encode as
+    /// `params`), params key-sorted. Seeds above 2^53 encode as
     /// decimal strings (a JSON number would round); everything else uses
     /// the shortest round-trip number form of the in-tree encoder.
     fn to_json(&self) -> Json {
@@ -360,8 +292,7 @@ impl ToJson for Scenario {
         };
         Json::Obj(vec![
             ("seed".to_string(), seed),
-            ("fidelity".to_string(), self.fidelity.to_json_value()),
-            ("threads".to_string(), Json::Num(self.threads as f64)),
+            ("fidelity".to_string(), self.fidelity.name().to_json()),
             (
                 "params".to_string(),
                 Json::Obj(
@@ -405,9 +336,8 @@ mod tests {
         let s = Scenario::default();
         assert_eq!(s.seed, crate::rng::DEFAULT_SEED);
         assert!(s.fidelity.is_quick());
-        assert_eq!(s.threads, 1);
         assert!(s.params().is_empty());
-        assert_eq!(s, Scenario::from_legacy(crate::rng::DEFAULT_SEED, true, 1));
+        assert_eq!(s, Scenario::new(crate::rng::DEFAULT_SEED, Fidelity::Quick));
     }
 
     #[test]
@@ -439,19 +369,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        let _ = Scenario::new(0, Fidelity::Quick, 0);
-    }
-
-    #[test]
     fn big_seeds_round_trip_through_strings() {
-        let s = Scenario::new(u64::MAX, Fidelity::Full, 2);
+        let s = Scenario::new(u64::MAX, Fidelity::Full);
         let encoded = s.encode_canonical();
         assert!(encoded.contains("\"18446744073709551615\""));
         assert_eq!(round_trip(&s), s);
         // Small seeds stay natural JSON numbers.
-        let small = Scenario::new(42, Fidelity::Quick, 1);
+        let small = Scenario::new(42, Fidelity::Quick);
         assert!(small.encode_canonical().contains("\"seed\":42"));
         assert_eq!(round_trip(&small), small);
     }
@@ -466,10 +390,10 @@ mod tests {
             ("{\"seed\":-1}", "`seed`"),
             ("{\"seed\":1.5}", "`seed`"),
             ("{\"seed\":\"nope\"}", "not a u64"),
-            ("{\"threads\":0}", "`threads`"),
-            ("{\"fidelity\":\"fast\"}", "fidelity"),
-            ("{\"fidelity\":{\"scale\":0}}", "scale"),
-            ("{\"fidelity\":{\"scale\":1,\"x\":2}}", "exactly one member"),
+            // The thread count is an execution resource, not an input.
+            ("{\"threads\":1}", "unknown scenario member `threads`"),
+            ("{\"fidelity\":\"fast\"}", "fidelity must be"),
+            ("{\"fidelity\":{\"scale\":8}}", "fidelity must be"),
             ("{\"params\":[1]}", "`params`"),
             ("{\"params\":{\"a\":null}}", "param `a`"),
             ("{\"params\":{\"a\":1,\"a\":2}}", "duplicate param"),
@@ -482,12 +406,10 @@ mod tests {
 
     #[test]
     fn content_hash_distinguishes_every_field() {
-        let base = Scenario::new(1, Fidelity::Quick, 1);
+        let base = Scenario::new(1, Fidelity::Quick);
         let variants = [
-            Scenario::new(2, Fidelity::Quick, 1),
-            Scenario::new(1, Fidelity::Full, 1),
-            Scenario::new(1, Fidelity::Scale(0.5), 1),
-            Scenario::new(1, Fidelity::Quick, 2),
+            Scenario::new(2, Fidelity::Quick),
+            Scenario::new(1, Fidelity::Full),
             base.clone().with_param("x", ParamValue::Num(1.0)),
             base.clone().with_param("x", ParamValue::Num(2.0)),
             base.clone().with_param("x", ParamValue::Str("1".into())),
@@ -517,12 +439,12 @@ mod tests {
     /// (quotes, backslashes, control characters, non-ASCII) and extreme
     /// numeric values.
     fn arbitrary_scenario(g: &mut Gen) -> Scenario {
-        let fidelity = match g.usize_in(0..3) {
-            0 => Fidelity::Quick,
-            1 => Fidelity::Full,
-            _ => Fidelity::Scale(g.f64_in(1e-6, 1e6)),
+        let fidelity = if g.u64().is_multiple_of(2) {
+            Fidelity::Quick
+        } else {
+            Fidelity::Full
         };
-        let mut s = Scenario::new(g.u64(), fidelity, g.usize_in(1..257));
+        let mut s = Scenario::new(g.u64(), fidelity);
         for _ in 0..g.usize_in(0..7) {
             let key = String::from_utf8_lossy(&g.bytes(0..13)).into_owned();
             let value = if g.u64().is_multiple_of(3) {

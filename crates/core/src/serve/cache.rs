@@ -30,20 +30,11 @@ pub const SHARDS: usize = 16;
 pub struct CacheKey {
     /// Registry name of the experiment.
     pub experiment: String,
-    /// The complete run configuration (seed, fidelity, threads, params).
+    /// The complete run configuration (seed, fidelity, params).
     pub scenario: Scenario,
 }
 
 impl CacheKey {
-    /// The legacy `(experiment, seed, quick, threads)` tuple as a key over
-    /// a param-free scenario.
-    pub fn legacy(experiment: &str, seed: u64, quick: bool, threads: usize) -> Self {
-        Self {
-            experiment: experiment.to_string(),
-            scenario: Scenario::from_legacy(seed, quick, threads),
-        }
-    }
-
     /// Deterministic FNV-1a hash over all fields — the shard selector.
     /// Built on the scenario's stable content hash (same FNV-1a family)
     /// instead of [`std::hash::DefaultHasher`] so shard assignment is
@@ -196,11 +187,15 @@ impl<V: Clone> ShardedCache<V> {
 mod tests {
     use super::*;
     use crate::exec::Pool;
+    use crate::scenario::Fidelity;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn key(experiment: &str, seed: u64) -> CacheKey {
-        CacheKey::legacy(experiment, seed, true, 1)
+        CacheKey {
+            experiment: experiment.to_string(),
+            scenario: Scenario::new(seed, Fidelity::Quick),
+        }
     }
 
     /// A deterministic stand-in for an encoded report body.
@@ -236,23 +231,23 @@ mod tests {
         use crate::scenario::ParamValue;
         let cache: ShardedCache<u32> = ShardedCache::new(4);
         let base = key("demo", 1);
-        let quick_off = CacheKey::legacy("demo", 1, false, 1);
-        let more_threads = CacheKey::legacy("demo", 1, true, 8);
+        let quick_off = CacheKey {
+            experiment: "demo".to_string(),
+            scenario: Scenario::new(1, Fidelity::Full),
+        };
         let with_param = CacheKey {
             experiment: "demo".to_string(),
             scenario: base.scenario.clone().with_param("n", ParamValue::Num(64.0)),
         };
         cache.insert(base.clone(), 1);
         cache.insert(quick_off.clone(), 2);
-        cache.insert(more_threads.clone(), 3);
-        cache.insert(with_param.clone(), 4);
-        cache.insert(key("demo", 2), 5);
-        cache.insert(key("other", 1), 6);
-        assert_eq!(cache.len(), 6);
+        cache.insert(with_param.clone(), 3);
+        cache.insert(key("demo", 2), 4);
+        cache.insert(key("other", 1), 5);
+        assert_eq!(cache.len(), 5);
         assert_eq!(cache.get(&base), Some(1));
         assert_eq!(cache.get(&quick_off), Some(2));
-        assert_eq!(cache.get(&more_threads), Some(3));
-        assert_eq!(cache.get(&with_param), Some(4));
+        assert_eq!(cache.get(&with_param), Some(3));
     }
 
     #[test]

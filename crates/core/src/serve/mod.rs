@@ -23,12 +23,11 @@
 //!   ever queued.
 //!
 //! Endpoints: `GET /healthz`, `GET /experiments`, `GET /metrics`,
-//! `GET /debug/recent`, `POST /run` (`{"experiment", "seed"?, "quick"?,
-//! "threads"?}` or `{"experiment", "scenario": {...}}` with a full
-//! scenario block — the two forms are mutually exclusive) and
-//! `POST /shutdown`. `/run` responses carry an `X-F2-Cache: hit|miss`
-//! header; the body never encodes cache state, so cached and fresh
-//! responses stay bit-identical.
+//! `GET /debug/recent`, `POST /run` (`{"experiment", "scenario": {...}}`,
+//! answered with a [`RUN_SCHEMA`] body `{"schema", "experiment",
+//! "scenario", "report"}`) and `POST /shutdown`. `/run` responses carry
+//! an `X-F2-Cache: hit|miss` header; the body never encodes cache state,
+//! so cached and fresh responses stay bit-identical.
 //!
 //! Every `/run` is **request-scoped observable**: the server accepts a
 //! client trace id via the `X-F2-Trace-Id` header (or mints one) and
@@ -47,7 +46,7 @@ pub mod http;
 use crate::exec::Pool;
 use crate::experiment::{ExperimentCtx, Registry};
 use crate::json::{Json, ToJson};
-use crate::scenario::{Fidelity, Scenario};
+use crate::scenario::Scenario;
 use crate::trace;
 use cache::{CacheKey, ShardedCache};
 use http::{Request, Response};
@@ -61,8 +60,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Identifies the JSON layout of a `/run` response body.
-pub const RUN_SCHEMA: &str = "f2-serve-v1";
+/// Identifies the JSON layout of a `/run` response body: `schema`,
+/// `experiment`, the canonical `scenario` and the `report`.
+pub const RUN_SCHEMA: &str = "f2-serve-v2";
 /// Identifies the JSON layout of the `/metrics` document.
 pub const METRICS_SCHEMA: &str = "f2-serve-metrics-v2";
 /// Identifies the JSON layout of one access-log / flight-recorder record.
@@ -71,8 +71,6 @@ pub const LOG_SCHEMA: &str = "f2-serve-log-v1";
 pub const TRACE_HEADER: &str = "X-F2-Trace-Id";
 /// How many `/run` records the flight recorder retains.
 pub const RECENT_CAPACITY: usize = 64;
-/// Largest `threads` value a `/run` request may ask for.
-pub const MAX_RUN_THREADS: u64 = 256;
 
 /// Whether `id` is a well-formed trace id the server will accept from a
 /// client: 1..=64 ASCII characters drawn from `[A-Za-z0-9._-]`. Anything
@@ -709,21 +707,9 @@ fn debug_recent(shared: &Shared) -> Response {
     Response::json(200, doc.encode())
 }
 
-/// Extracts a non-negative integer from a JSON number (rejects
-/// fractional, negative and precision-losing values).
-fn json_u64(value: &Json) -> Option<u64> {
-    let v = value.as_f64()?;
-    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) {
-        Some(v as u64)
-    } else {
-        None
-    }
-}
-
 /// Parses and validates a `/run` body into a cache key; the error side is
-/// the 4xx response to send back. The body carries either the legacy
-/// `seed`/`quick`/`threads` members or a full `scenario` block — mixing
-/// the two is rejected, and scenario params must be dimensions the target
+/// the 4xx response to send back. The body is exactly `{"experiment",
+/// "scenario"}`, and scenario params must be dimensions the target
 /// experiment declares.
 fn parse_run_body(body: &[u8], registry: &Registry) -> Result<CacheKey, Box<Response>> {
     let err = |status: u16, msg: &str| Err(Box::new(Response::error(status, msg)));
@@ -738,10 +724,7 @@ fn parse_run_body(body: &[u8], registry: &Registry) -> Result<CacheKey, Box<Resp
         return err(400, "body must be a JSON object");
     };
     for (name, _) in members {
-        if !matches!(
-            name.as_str(),
-            "experiment" | "seed" | "quick" | "threads" | "scenario"
-        ) {
+        if !matches!(name.as_str(), "experiment" | "scenario") {
             return err(400, &format!("unknown member `{name}`"));
         }
     }
@@ -751,52 +734,13 @@ fn parse_run_body(body: &[u8], registry: &Registry) -> Result<CacheKey, Box<Resp
     let Some(exp) = registry.find(experiment) else {
         return err(404, &format!("unknown experiment `{experiment}`"));
     };
-    let scenario = if let Some(block) = doc.get("scenario") {
-        if doc.get("seed").is_some() || doc.get("quick").is_some() || doc.get("threads").is_some() {
-            return err(
-                400,
-                "`scenario` excludes the legacy `seed`/`quick`/`threads` members",
-            );
-        }
-        match Scenario::from_json(block) {
-            Ok(s) => s,
-            Err(e) => return err(400, &format!("invalid `scenario`: {e}")),
-        }
-    } else {
-        let seed = match doc.get("seed") {
-            None => crate::rng::DEFAULT_SEED,
-            Some(v) => match json_u64(v) {
-                Some(seed) => seed,
-                None => return err(400, "`seed` must be a non-negative integer"),
-            },
-        };
-        let quick = match doc.get("quick") {
-            None => true,
-            Some(v) => match v.as_bool() {
-                Some(q) => q,
-                None => return err(400, "`quick` must be a boolean"),
-            },
-        };
-        let threads = match doc.get("threads") {
-            None => 1,
-            Some(v) => match json_u64(v) {
-                Some(t) if (1..=MAX_RUN_THREADS).contains(&t) => t as usize,
-                _ => {
-                    return err(
-                        400,
-                        &format!("`threads` must be an integer in 1..={MAX_RUN_THREADS}"),
-                    )
-                }
-            },
-        };
-        Scenario::from_legacy(seed, quick, threads)
+    let Some(block) = doc.get("scenario") else {
+        return err(400, "missing `scenario` object member");
     };
-    if scenario.threads as u64 > MAX_RUN_THREADS {
-        return err(
-            400,
-            &format!("`threads` must be an integer in 1..={MAX_RUN_THREADS}"),
-        );
-    }
+    let scenario = match Scenario::from_json(block) {
+        Ok(s) => s,
+        Err(e) => return err(400, &format!("invalid `scenario`: {e}")),
+    };
     let declared = exp.params();
     for (key, _) in scenario.params() {
         if !declared.iter().any(|p| p.name == key) {
@@ -1016,29 +960,15 @@ fn run_experiment(registry: &Registry, key: &CacheKey) -> Result<Vec<u8>, String
         let mut ctx = ExperimentCtx::quiet_scenario(&key.scenario);
         exp.run(&mut ctx)
     }));
-    let scenario = &key.scenario;
-    // Param-free quick/full runs keep the legacy body shape so pre-scenario
-    // clients (and cached pre-scenario responses) stay byte-compatible;
-    // parameterized or scaled runs embed the full canonical scenario.
-    let legacy_shape = scenario.params().is_empty()
-        && !matches!(scenario.fidelity, Fidelity::Scale(_))
-        && scenario.seed <= (1u64 << 53);
     match outcome {
-        Ok(Ok(report)) => {
-            let mut members = vec![
-                ("schema".to_string(), RUN_SCHEMA.to_json()),
-                ("experiment".to_string(), key.experiment.to_json()),
-            ];
-            if legacy_shape {
-                members.push(("seed".to_string(), scenario.seed.to_json()));
-                members.push(("quick".to_string(), scenario.fidelity.is_quick().to_json()));
-                members.push(("threads".to_string(), scenario.threads.to_json()));
-            } else {
-                members.push(("scenario".to_string(), scenario.to_json()));
-            }
-            members.push(("report".to_string(), report.to_json()));
-            Ok(Json::Obj(members).encode().into_bytes())
-        }
+        Ok(Ok(report)) => Ok(Json::Obj(vec![
+            ("schema".to_string(), RUN_SCHEMA.to_json()),
+            ("experiment".to_string(), key.experiment.to_json()),
+            ("scenario".to_string(), key.scenario.to_json()),
+            ("report".to_string(), report.to_json()),
+        ])
+        .encode()
+        .into_bytes()),
         Ok(Err(e)) => Err(format!("experiment `{}` failed: {e}", key.experiment)),
         Err(_) => Err(format!("experiment `{}` panicked", key.experiment)),
     }
@@ -1194,14 +1124,18 @@ mod tests {
     fn run_computes_then_replays_bit_identically_from_cache() {
         let server = test_server();
         let addr = server.addr();
-        let body = br#"{"experiment":"echo_seed","seed":5}"#;
+        let body = br#"{"experiment":"echo_seed","scenario":{"seed":5}}"#;
 
         let first = roundtrip(addr, "POST", "/run", body);
         assert_eq!(first.status, 200);
         assert_eq!(first.header("x-f2-cache"), Some("miss"));
         let doc = parse_body(&first);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(RUN_SCHEMA));
-        assert_eq!(doc.get("seed").and_then(Json::as_f64), Some(5.0));
+        // Every body embeds the canonical scenario: defaults filled in.
+        assert_eq!(
+            doc.get("scenario").map(Json::encode).as_deref(),
+            Some(r#"{"seed":5,"fidelity":"quick","params":{}}"#)
+        );
         let kpi_seed = doc
             .get("report")
             .and_then(|r| r.get("kpis"))
@@ -1223,7 +1157,7 @@ mod tests {
             addr,
             "POST",
             "/run",
-            br#"{"experiment":"echo_seed","seed":6}"#,
+            br#"{"experiment":"echo_seed","scenario":{"seed":6}}"#,
         );
         assert_eq!(other.header("x-f2-cache"), Some("miss"));
         assert_ne!(other.body, first.body);
@@ -1248,9 +1182,6 @@ mod tests {
         assert_eq!(first.header("x-f2-cache"), Some("miss"));
         let doc = parse_body(&first);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(RUN_SCHEMA));
-        // Parameterized runs embed the canonical scenario, not the legacy
-        // seed/quick/threads members.
-        assert!(doc.get("seed").is_none());
         let scenario = doc.get("scenario").expect("scenario member");
         assert_eq!(scenario.get("seed").and_then(Json::as_f64), Some(5.0));
         assert_eq!(
@@ -1279,33 +1210,26 @@ mod tests {
     }
 
     #[test]
-    fn param_free_scenario_and_legacy_members_share_one_cache_entry() {
+    fn default_filled_and_explicit_scenarios_share_one_cache_entry() {
         let server = test_server();
         let addr = server.addr();
-        // `{"seed":5}` as a scenario block defaults to quick fidelity on
-        // one thread — exactly the legacy members' configuration, so the
-        // two forms must hash to the same key and replay the same body.
-        let legacy = roundtrip(
+        // `{"seed":1}` defaults to quick fidelity and no params — the same
+        // scenario as the fully spelled-out block, so one cache entry.
+        let short = roundtrip(
             addr,
             "POST",
             "/run",
-            br#"{"experiment":"echo_seed","seed":5}"#,
+            br#"{"experiment":"echo_seed","scenario":{"seed":1}}"#,
         );
-        assert_eq!(legacy.header("x-f2-cache"), Some("miss"));
-        let scenario = roundtrip(
+        assert_eq!(short.header("x-f2-cache"), Some("miss"));
+        let explicit = roundtrip(
             addr,
             "POST",
             "/run",
-            br#"{"experiment":"echo_seed","scenario":{"seed":5}}"#,
+            br#"{"experiment":"echo_seed","scenario":{"seed":1,"fidelity":"quick","params":{}}}"#,
         );
-        assert_eq!(scenario.header("x-f2-cache"), Some("hit"));
-        assert_eq!(scenario.body, legacy.body);
-        // And the legacy-shaped body survives: param-free quick runs keep
-        // the pre-scenario response members.
-        let doc = parse_body(&scenario);
-        assert_eq!(doc.get("seed").and_then(Json::as_f64), Some(5.0));
-        assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
-        assert!(doc.get("scenario").is_none());
+        assert_eq!(explicit.header("x-f2-cache"), Some("hit"));
+        assert_eq!(explicit.body, short.body);
         server.join().expect("clean join");
     }
 
@@ -1314,7 +1238,7 @@ mod tests {
         let server = test_server();
         let mut client = connect(server.addr());
         for seed in 0..5u64 {
-            let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{seed}}}");
+            let body = format!("{{\"experiment\":\"echo_seed\",\"scenario\":{{\"seed\":{seed}}}}}");
             let resp = request(&mut client, "POST", "/run", body.as_bytes());
             assert_eq!(resp.status, 200);
             assert_eq!(resp.header("connection"), Some("keep-alive"));
@@ -1344,25 +1268,34 @@ mod tests {
             (b"[1,2,3]", 400),
             (br#"{"experiment":"echo_seed","sed":1}"#, 400),
             (br#"{"experiment":"no_such_experiment"}"#, 404),
-            (br#"{"seed":1}"#, 400),
-            (br#"{"experiment":"echo_seed","seed":-1}"#, 400),
-            (br#"{"experiment":"echo_seed","seed":1.5}"#, 400),
-            (br#"{"experiment":"echo_seed","quick":"yes"}"#, 400),
-            (br#"{"experiment":"echo_seed","threads":0}"#, 400),
-            (br#"{"experiment":"echo_seed","threads":100000}"#, 400),
-            // Scenario-block validation: legacy members are mutually
-            // exclusive with `scenario`, params must be declared by the
-            // experiment, and the block itself must be a valid scenario.
+            (br#"{"scenario":{}}"#, 400),
+            // The body is exactly `{"experiment","scenario"}`: top-level
+            // run members are unknown, and the scenario is required.
+            (br#"{"experiment":"echo_seed"}"#, 400),
+            (br#"{"experiment":"echo_seed","seed":1}"#, 400),
+            (br#"{"experiment":"echo_seed","quick":true}"#, 400),
+            (br#"{"experiment":"echo_seed","threads":1}"#, 400),
             (
                 br#"{"experiment":"echo_seed","scenario":{"seed":1},"seed":1}"#,
                 400,
             ),
+            // Scenario-block validation: params must be declared by the
+            // experiment, and the block itself must be a valid scenario.
             (
                 br#"{"experiment":"echo_seed","scenario":{"params":{"nope":1}}}"#,
                 400,
             ),
+            (br#"{"experiment":"echo_seed","scenario":{"seed":-1}}"#, 400),
             (
-                br#"{"experiment":"echo_seed","scenario":{"threads":100000}}"#,
+                br#"{"experiment":"echo_seed","scenario":{"seed":1.5}}"#,
+                400,
+            ),
+            (
+                br#"{"experiment":"echo_seed","scenario":{"threads":1}}"#,
+                400,
+            ),
+            (
+                br#"{"experiment":"echo_seed","scenario":{"fidelity":{"scale":8}}}"#,
                 400,
             ),
             (br#"{"experiment":"echo_seed","scenario":[1]}"#, 400),
@@ -1391,15 +1324,30 @@ mod tests {
     fn failing_and_panicking_experiments_earn_500_and_leave_the_server_alive() {
         let server = test_server();
         let addr = server.addr();
-        let failed = roundtrip(addr, "POST", "/run", br#"{"experiment":"fails"}"#);
+        let failed = roundtrip(
+            addr,
+            "POST",
+            "/run",
+            br#"{"experiment":"fails","scenario":{}}"#,
+        );
         assert_eq!(failed.status, 500);
         assert!(parse_body(&failed).get("error").is_some());
 
-        let boomed = roundtrip(addr, "POST", "/run", br#"{"experiment":"boom"}"#);
+        let boomed = roundtrip(
+            addr,
+            "POST",
+            "/run",
+            br#"{"experiment":"boom","scenario":{}}"#,
+        );
         assert_eq!(boomed.status, 500);
 
         // Failures are not cached; the next healthy request still works.
-        let ok = roundtrip(addr, "POST", "/run", br#"{"experiment":"echo_seed"}"#);
+        let ok = roundtrip(
+            addr,
+            "POST",
+            "/run",
+            br#"{"experiment":"echo_seed","scenario":{}}"#,
+        );
         assert_eq!(ok.status, 200);
         let metrics = parse_body(&roundtrip(addr, "GET", "/metrics", b""));
         let runs = metrics.get("runs").expect("runs block");
@@ -1425,7 +1373,9 @@ mod tests {
                     let mut bodies = Vec::new();
                     for k in 0..6u64 {
                         let seed = k % 3; // identical across client threads
-                        let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{seed}}}");
+                        let body = format!(
+                            "{{\"experiment\":\"echo_seed\",\"scenario\":{{\"seed\":{seed}}}}}"
+                        );
                         let resp = request(&mut client, "POST", "/run", body.as_bytes());
                         assert_eq!(resp.status, 200, "client {i}");
                         bodies.push((seed, resp.body));
@@ -1515,7 +1465,7 @@ mod tests {
     fn run_responses_echo_client_trace_ids_and_mint_missing_ones() {
         let server = test_server();
         let addr = server.addr();
-        let body = br#"{"experiment":"echo_seed","seed":9}"#;
+        let body = br#"{"experiment":"echo_seed","scenario":{"seed":9}}"#;
 
         // A well-formed client id is echoed verbatim.
         let mut client = connect(addr);
@@ -1600,7 +1550,10 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut client = connect(addr);
                     for k in 0..PER_CLIENT {
-                        let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{}}}", k % 4);
+                        let body = format!(
+                            "{{\"experiment\":\"echo_seed\",\"scenario\":{{\"seed\":{}}}}}",
+                            k % 4
+                        );
                         let resp = request(&mut client, "POST", "/run", body.as_bytes());
                         assert_eq!(resp.status, 200, "client {i}");
                         assert!(resp.header("x-f2-trace-id").is_some());
@@ -1686,7 +1639,7 @@ mod tests {
             "POST",
             "/run",
             "log-ok",
-            br#"{"experiment":"echo_seed","seed":3}"#,
+            br#"{"experiment":"echo_seed","scenario":{"seed":3}}"#,
         );
         assert_eq!(ok.status, 200);
         let failed = traced_request(
@@ -1694,7 +1647,7 @@ mod tests {
             "POST",
             "/run",
             "log-fail",
-            br#"{"experiment":"fails"}"#,
+            br#"{"experiment":"fails","scenario":{}}"#,
         );
         assert_eq!(failed.status, 500);
         let bad = traced_request(&mut client, "POST", "/run", "log-bad", b"[1]");
@@ -1750,7 +1703,7 @@ mod tests {
         let addr = server.addr();
         let mut client = connect(addr);
         for i in 0..5u64 {
-            let body = format!("{{\"experiment\":\"echo_seed\",\"seed\":{i}}}");
+            let body = format!("{{\"experiment\":\"echo_seed\",\"scenario\":{{\"seed\":{i}}}}}");
             let resp = traced_request(
                 &mut client,
                 "POST",
@@ -1784,16 +1737,5 @@ mod tests {
         // Wrong method earns a 405, like the other GET endpoints.
         assert_eq!(roundtrip(addr, "POST", "/debug/recent", b"").status, 405);
         server.join().expect("clean join");
-    }
-
-    #[test]
-    fn json_u64_accepts_integers_only() {
-        assert_eq!(json_u64(&Json::Num(0.0)), Some(0));
-        assert_eq!(json_u64(&Json::Num(42.0)), Some(42));
-        assert_eq!(json_u64(&Json::Num(-1.0)), None);
-        assert_eq!(json_u64(&Json::Num(1.5)), None);
-        assert_eq!(json_u64(&Json::Num(f64::NAN)), None);
-        assert_eq!(json_u64(&Json::Num(2f64.powi(60))), None);
-        assert_eq!(json_u64(&Json::Str("7".to_string())), None);
     }
 }

@@ -367,10 +367,11 @@ pub fn experiments() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2_core::scenario::Scenario;
 
     #[test]
     fn sparta_experiment_reports_latency_hiding() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 2);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default()).with_threads(2);
         let report = SpartaSpeedup.run(&mut ctx).expect("valid configs");
         let lo = report.kpi("spmv/speedup_at_latency_25").expect("kpi");
         let hi = report.kpi("spmv/speedup_at_latency_400").expect("kpi");
@@ -380,7 +381,7 @@ mod tests {
 
     #[test]
     fn spdataflow_adaptive_never_loses() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 2);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default()).with_threads(2);
         let report = SpDataflow.run(&mut ctx).expect("valid params");
         let ratio = report.kpi("spgemm/best_fixed_over_adaptive").expect("kpi");
         assert!(
@@ -401,7 +402,7 @@ mod tests {
     #[test]
     fn spdataflow_report_is_thread_count_invariant() {
         let run_at = |threads| {
-            let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, threads);
+            let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default()).with_threads(threads);
             SpDataflow.run(&mut ctx).expect("valid params")
         };
         let base = run_at(1);
@@ -411,7 +412,7 @@ mod tests {
 
     #[test]
     fn spdataflow_rejects_invalid_scenario_params() {
-        use f2_core::scenario::{ParamValue, Scenario};
+        use f2_core::scenario::ParamValue;
         for (name, value) in [
             ("pattern", ParamValue::Str("mystery".to_string())),
             ("dataflow", ParamValue::Str("spada".to_string())),
@@ -419,8 +420,7 @@ mod tests {
             ("buffer_words", ParamValue::Num(0.0)),
             ("rows", ParamValue::Num(0.0)),
         ] {
-            let scenario =
-                Scenario::from_legacy(f2_core::rng::DEFAULT_SEED, true, 1).with_param(name, value);
+            let scenario = Scenario::default().with_param(name, value);
             let mut ctx = ExperimentCtx::quiet_scenario(&scenario);
             match SpDataflow.run(&mut ctx) {
                 Err(f2_core::CoreError::InvalidParameter { .. }) => {}

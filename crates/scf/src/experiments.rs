@@ -459,10 +459,11 @@ pub fn experiments() -> Vec<Box<dyn Experiment>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f2_core::scenario::Scenario;
 
     #[test]
     fn cu_transformer_hits_published_regime() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         let report = CuTransformer.run(&mut ctx).expect("runs");
         let gflops = report.kpi("blocks/bert_base_gflops").expect("kpi");
         assert!(
@@ -473,7 +474,7 @@ mod tests {
 
     #[test]
     fn tcdm_banking_conflicts_collapse_with_banks() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 2);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default()).with_threads(2);
         let report = TcdmBanking.run(&mut ctx).expect("runs");
         let few = report.kpi("banking/banks_1_conflict_rate").expect("kpi");
         let many = report.kpi("banking/banks_64_conflict_rate").expect("kpi");
@@ -482,7 +483,7 @@ mod tests {
 
     #[test]
     fn scf_scaling_knee_moves_with_hbm() {
-        let mut ctx = ExperimentCtx::quiet(f2_core::rng::DEFAULT_SEED, true, 1);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default());
         let report = ScfScaling.run(&mut ctx).expect("runs");
         let single = report.kpi("hbm410/knee_cu_count").expect("kpi");
         let dual = report.kpi("hbm820/knee_cu_count").expect("kpi");

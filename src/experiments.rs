@@ -9,9 +9,8 @@
 
 use f2_core::experiment::Registry;
 
-/// Builds the full registry: the paper-level catalog experiments (E1, E11),
-/// one entry per thrust experiment (E2–E13), and the kernel micro-bench
-/// suite under the `kernels` tag.
+/// Builds the full registry: the paper-level catalog experiments (E1, E11)
+/// and one entry per thrust experiment (E2–E13).
 pub fn registry() -> Registry {
     let mut reg = Registry::new();
     reg.extend(f2_core::experiment::catalog::experiments());
@@ -21,7 +20,6 @@ pub fn registry() -> Registry {
     reg.extend(f2_dna::experiments::experiments());
     reg.extend(f2_hetero::experiments::experiments());
     reg.extend(f2_scf::experiments::experiments());
-    reg.extend(crate::kernels::experiments());
     reg
 }
 
@@ -30,8 +28,8 @@ mod tests {
     use super::*;
 
     /// The paper reproduces fourteen experiments (E1–E13 plus the TCDM
-    /// ablation); the registry also carries the kernel micro-bench suite and
-    /// the sparse-dataflow design-space explorer.
+    /// ablation); the registry also carries the sparse-dataflow
+    /// design-space explorer.
     const EXPECTED: &[&str] = &[
         "fig1_landscape",
         "fig7_riscv_sota",
@@ -48,7 +46,6 @@ mod tests {
         "cu_transformer",
         "tcdm_banking",
         "scf_scaling",
-        "kernels",
     ];
 
     #[test]
@@ -65,7 +62,7 @@ mod tests {
         let reg = registry();
         assert_eq!(reg.select("all").expect("all").len(), EXPECTED.len());
         assert_eq!(reg.select("imc").expect("tag").len(), 2);
-        assert_eq!(reg.select("kernels").expect("name").len(), 1);
+        assert_eq!(reg.select("imc_energy").expect("name").len(), 1);
         assert!(reg.select("no_such_thing").is_err());
     }
 }

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use flagship2::core::experiment::{golden, ExperimentCtx};
-use flagship2::core::rng::DEFAULT_SEED;
+use flagship2::core::scenario::Scenario;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
@@ -36,7 +36,7 @@ fn quick_mode_kpis_match_golden_snapshots() {
         // The snapshot fidelity: quick, quiet, default seed. Two threads
         // exercise the parallel sweeps, whose results are bit-identical at
         // any worker count.
-        let mut ctx = ExperimentCtx::quiet(DEFAULT_SEED, true, 2);
+        let mut ctx = ExperimentCtx::quiet_scenario(&Scenario::default()).with_threads(2);
         let report = match exp.run(&mut ctx) {
             Ok(r) => r,
             Err(e) => {
